@@ -26,7 +26,7 @@ from repro.kernels.base import PreparedOperand
 from repro.obs import get_registry
 
 # The canonical fingerprint implementation lives in repro.plan.profile
-# (the planner's profile cache and this operand cache must key by the
+# (the planner's plan memo and this operand cache must key by the
 # same content hash); re-exported here so engine callers are unchanged.
 from repro.plan.profile import matrix_fingerprint
 

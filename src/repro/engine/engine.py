@@ -134,13 +134,10 @@ class SpMVEngine:
 
     ``planner`` installs a :class:`~repro.plan.Planner`: each batch
     walks the planner's per-matrix :class:`~repro.plan.ExecutionPlan`
-    instead of the static ``chain``, the plan is cached next to the
-    prepared operand (same fingerprint key) and both are invalidated
-    together when a kernel poisons its operand, and every successful
-    batch feeds its measured per-vector seconds back through
-    :meth:`~repro.plan.Planner.observe` so rankings improve as traffic
-    accumulates.  ``None`` (the default) leaves every request on the
-    exact static-chain path — results are bit-identical.
+    instead of the static ``chain``, looked up by the fingerprint the
+    batch already carries (the planner memoizes plans by it).  ``None``
+    (the default) leaves every request on the exact static-chain path
+    — results are bit-identical.
     """
 
     def __init__(
@@ -177,10 +174,6 @@ class SpMVEngine:
         self.stats = EngineStats()  # concurrency: guarded-by(self._lock)
         # concurrency: guarded-by(self._lock)
         self._queue: list[tuple[CSRMatrix, np.ndarray]] = []
-        # per-fingerprint plans from self.planner, invalidated together
-        # with the operand cache entry they were planned for
-        # concurrency: guarded-by(self._lock)
-        self._plans: dict = {}
 
     # -- operand management --------------------------------------------------
     def _prepared(self, kernel_name: str, csr: CSRMatrix, fingerprint: str) -> PreparedOperand:
@@ -250,13 +243,7 @@ class SpMVEngine:
         return self._prepared(self.kernel_name, csr, matrix_fingerprint(csr))
 
     def _invalidate_operand(self, kernel_name: str, fingerprint: str) -> None:
-        """Drop a poisoned cached operand *and* the matrix's cached plan.
-
-        The plan ranked kernels against evidence that predates the
-        failure; dropping it with the operand means the next batch
-        re-plans with the planner's current EWMA table (which the
-        failure's latency just updated).  With no planner the plan map
-        is empty and this is exactly the old cache eviction.
+        """Drop a poisoned cached operand.
 
         The persistent store is deliberately *not* touched: its copy is
         a pre-execution snapshot serialized before any kernel ran, so
@@ -264,25 +251,6 @@ class SpMVEngine:
         way back to a healthy operand.
         """
         self.cache.invalidate((kernel_name, fingerprint))
-        with self._lock:
-            self._plans.pop(fingerprint, None)
-
-    def _plan_for(self, csr: CSRMatrix, fingerprint: str, planner):
-        """The plan a batch should walk (cached for the engine's own planner)."""
-        if planner is None:
-            return None
-        if planner is self.planner:
-            with self._lock:
-                plan = self._plans.get(fingerprint)
-            if plan is not None:
-                return plan
-            plan = planner.plan(csr, fingerprint=fingerprint)
-            with self._lock:
-                self._plans[fingerprint] = plan
-            return plan
-        # a per-call override (serve's per-tenant planners) is not
-        # co-cached: the override owns its own profile cache
-        return planner.plan(csr, fingerprint=fingerprint)
 
     # -- execution -----------------------------------------------------------
     def _execute_batch(
@@ -292,7 +260,6 @@ class SpMVEngine:
         X: np.ndarray,
         simulate: bool,
         faults: tuple[FaultHook, ...] = (),
-        planner=None,
     ) -> np.ndarray:
         """Run one same-matrix batch down the degradation chain.
 
@@ -304,8 +271,11 @@ class SpMVEngine:
         """
         k = X.shape[0]
         policy = self.resilience
-        effective_planner = planner if planner is not None else self.planner
-        plan = self._plan_for(csr, fingerprint, effective_planner)
+        chain = (
+            self.chain
+            if self.planner is None
+            else self.planner.plan(csr, fingerprint=fingerprint)
+        )
 
         def pick_mode(kernel) -> ExecutionMode:
             # simulate only where one simulated decode serves the whole
@@ -322,12 +292,11 @@ class SpMVEngine:
                 result = execute_chain(
                     csr,
                     X,
-                    plan if plan is not None else self.chain,
+                    chain,
                     mode=pick_mode,
                     faults=faults,
                     prepare=lambda name: self._prepared(name, csr, fingerprint),
-                    # never let a poisoned operand (or its stale plan)
-                    # serve the next request
+                    # never let a poisoned operand serve the next request
                     invalidate=lambda name: self._invalidate_operand(name, fingerprint),
                     deep_verify=policy.deep_verify if policy is not None else False,
                     deadline=policy.new_deadline() if policy is not None else None,
@@ -339,9 +308,6 @@ class SpMVEngine:
             with self._lock:
                 self.stats.degradation_log.extend(exc.events)
             raise
-        if effective_planner is not None:
-            # feedback: measured per-batch seconds, per-vector normalized
-            effective_planner.observe(result.kernel, result.run_seconds, vectors=k)
         with self._lock:
             self.stats.run_seconds += result.run_seconds
             self.stats.batches += 1
@@ -389,13 +355,8 @@ class SpMVEngine:
         simulate: bool = False,
         return_errors: bool = False,
         faults: tuple[FaultHook, ...] = (),
-        planner=None,
     ) -> list[np.ndarray]:
         """Serve a queue of ``(matrix, x)`` requests with micro-batching.
-
-        ``planner`` overrides the engine's configured planner for this
-        call (the serving front-end routes per-tenant planner overrides
-        through it); ``None`` keeps the engine's own.
 
         Requests carrying content-identical matrices are grouped (in
         first-seen order, each group's vectors in request order) and
@@ -444,9 +405,7 @@ class SpMVEngine:
         for fingerprint, group in groups.items():
             X = np.stack(group["xs"]) if group["xs"] else np.zeros((0, 0), np.float32)
             try:
-                Y = self._execute_batch(
-                    group["csr"], fingerprint, X, simulate, faults, planner=planner
-                )
+                Y = self._execute_batch(group["csr"], fingerprint, X, simulate, faults)
             except ReproError as exc:
                 if not return_errors:
                     raise

@@ -2,16 +2,17 @@
 
 ``repro.plan`` replaces the one-size-fits-all fallback chain with a
 per-matrix :class:`ExecutionPlan`: a structure profile of the operand
-(:mod:`repro.plan.profile`), cost-model predictions through the
-:mod:`repro.perf.plan_model` adapter, and EWMA-smoothed live latency
-feedback combine into a ranked, capability-filtered kernel order plus
-batch/flush hints.  Every dispatch consumer accepts a plan wherever it
-accepted a chain; with no planner configured nothing changes.
+(:mod:`repro.plan.profile`) and cost-model predictions through the
+:mod:`repro.perf.plan_model` adapter combine into a ranked,
+capability-filtered kernel order plus batch/flush hints — a pure
+function of the matrix's structure, memoized per matrix content.
+Every dispatch consumer accepts a plan wherever it accepted a chain;
+with no planner configured nothing changes.
 
 Import fence: this package may import only the stdlib, numpy,
 ``repro.constants``, ``repro.errors``, ``repro.obs``, ``repro.perf``
 and itself — enforced by ``scripts/check_exec_boundaries.py``.  Its
-caches carry declared lock contracts audited by
+plan memo carries a declared lock contract audited by
 :mod:`repro.analysis.concurrency`.
 """
 

@@ -1,4 +1,4 @@
-"""Execution planners: structure profile + cost model + live feedback.
+"""Execution planners: structure profile + cost model.
 
 The static fallback chain (spaden → spaden-no-tc → cusparse-csr →
 csr-scalar) is the right *safety* order but, per Fig. 9, the wrong
@@ -15,25 +15,16 @@ Two planners ship:
 * :class:`StaticPlanner` — the degenerate planner: emits the
   registry-derived static chain verbatim, so "planner configured but
   inert" and "no planner" are bitwise-identical paths;
-* :class:`StructurePlanner` — profiles the matrix once
-  (:func:`~repro.plan.profile.compute_structure_profile`, cached by
-  :func:`~repro.plan.profile.matrix_fingerprint`), predicts each chain
-  kernel's seconds through the :mod:`repro.perf.plan_model` roofline
-  adapter, blends the prediction with EWMA-smoothed *observed*
-  per-vector latencies fed back by the engine
-  (:meth:`StructurePlanner.observe`), and ranks.  Rankings therefore
-  improve as RunReports accumulate: a kernel the model flatters but the
-  machine runs slowly sinks as evidence arrives.
+* :class:`StructurePlanner` — profiles the matrix
+  (:func:`~repro.plan.profile.compute_structure_profile`), predicts
+  each chain kernel's seconds through the :mod:`repro.perf.plan_model`
+  roofline adapter, and ranks.  A plan is a pure function of the
+  matrix's structure, the target GPU and the candidate pool, so it is
+  memoized by :func:`~repro.plan.profile.matrix_fingerprint`: a matrix
+  is planned once per planner, and the same matrix gets the same plan
+  whatever was planned or served before it.
 
-The blend happens in **normalized space**: modeled GPU seconds and
-host-measured wall seconds live on different scales, so each signal is
-divided by its own minimum over the candidates before mixing.  The
-observation weight grows as ``n / (n + half_life)`` and is capped, so a
-cold planner trusts the model and a warm one trusts the machine —
-without ever zeroing the model out (a kernel must be able to *recover*
-after a transient slowdown).
-
-Thread-safety: planner caches are shared across engine worker threads,
+Thread-safety: the plan memo is shared across engine worker threads,
 so the package is audited by :mod:`repro.analysis.concurrency` like the
 other serving seams — every mutable field carries a declared lock
 contract, and metrics publish outside critical sections
@@ -67,19 +58,8 @@ __all__ = [
     "StructurePlanner",
 ]
 
-#: Cap on the observed-latency blend weight: the cost model always
-#: keeps at least this much say, so a kernel can climb back after a
-#: transient slowdown inflated its EWMA.
-MAX_FEEDBACK_WEIGHT: float = 0.8
-
-#: Observations at which feedback carries half its capped weight.
-FEEDBACK_HALF_LIFE: int = 4
-
-#: EWMA smoothing factor for observed per-vector seconds.
-EWMA_ALPHA: float = 0.3
-
 #: Safety bias per tier step: a kernel only outranks a safer (lower
-#: fallback-tier) kernel when its blended score beats it by more than
+#: fallback-tier) kernel when its model score beats it by more than
 #: this margin per tier it jumps.  The synthetic cost model's error
 #: bars exceed small predicted gaps, so inside the crossover band the
 #: registry's safety order wins; a genuine Fig. 9 win (tens of
@@ -95,14 +75,6 @@ def _count_decision(planner: str, kernel: str) -> None:
     ).inc(planner=planner, kernel=kernel)
 
 
-def _count_rank_flip(planner: str) -> None:
-    get_registry().counter(
-        "planner_rank_flips_total",
-        "Plans whose kernel order changed for a matrix planned before.",
-        labels=("planner",),
-    ).inc(planner=planner)
-
-
 @dataclass(frozen=True)
 class RankedKernel:
     """One kernel's position in a plan, with the evidence behind it."""
@@ -112,13 +84,9 @@ class RankedKernel:
     tier: int
     #: Cost-model prediction for this matrix, seconds.
     predicted_seconds: float
-    #: EWMA-smoothed observed per-vector seconds (``None`` = no data).
-    observed_seconds: float | None
-    #: Observations folded into the EWMA.
-    observations: int
-    #: Blended, unitless ranking score (lower is better; best ~1.0).
+    #: Unitless ranking score (lower is better; best ~1.0).
     score: float
-    #: Human-readable why (structure + evidence, one line).
+    #: Human-readable why (structure, one line).
     reason: str
 
     def as_dict(self) -> dict:
@@ -168,16 +136,10 @@ class ExecutionPlan:
             )
             lines.append(f"  hints: batch <= {self.batch_hint}, wait <= {wait}")
         for position, entry in enumerate(self.ranking, start=1):
-            observed = (
-                f"{entry.observed_seconds * 1e6:.1f} us over {entry.observations} obs"
-                if entry.observed_seconds is not None
-                else "no observations"
-            )
             lines.append(
                 f"  {position}. {entry.name} (tier {entry.tier}): score "
                 f"{entry.score:.3f} — predicted "
-                f"{entry.predicted_seconds * 1e6:.1f} us, observed {observed}; "
-                f"{entry.reason}"
+                f"{entry.predicted_seconds * 1e6:.1f} us; {entry.reason}"
             )
         return "\n".join(lines)
 
@@ -193,20 +155,13 @@ class ExecutionPlan:
 
 
 class Planner:
-    """Interface every planner implements.
-
-    :meth:`plan` maps a matrix to an :class:`ExecutionPlan`;
-    :meth:`observe` feeds measured per-vector kernel seconds back (a
-    no-op by default, so stateless planners stay stateless).
-    """
+    """Interface every planner implements: :meth:`plan` maps a matrix
+    to an :class:`ExecutionPlan`."""
 
     name: str = "planner"
 
     def plan(self, csr, *, fingerprint: str | None = None) -> ExecutionPlan:
         raise NotImplementedError
-
-    def observe(self, kernel: str, seconds: float, *, vectors: int = 1) -> None:
-        """Fold one measured execution into the planner's evidence."""
 
 
 class StaticPlanner(Planner):
@@ -230,7 +185,7 @@ class StaticPlanner(Planner):
 
 
 class StructurePlanner(Planner):
-    """Rank the fallback chain per matrix from structure + evidence.
+    """Rank the fallback chain per matrix from its structure.
 
     ``gpu`` names the cost-model target.  ``mode`` capability-filters
     the candidates: ``"numeric"`` admits every chain kernel,
@@ -238,9 +193,9 @@ class StructurePlanner(Planner):
     plan for a simulation campaign must not rank kernels that cannot
     simulate).  ``candidates`` overrides the candidate set explicitly.
 
-    Instances are shared across engine worker threads; the profile
-    cache, the EWMA table and the last-order table are guarded by one
-    lock that is never held across profiling, prediction or metrics.
+    Instances are shared across engine worker threads; the plan memo
+    is guarded by one lock that is never held across profiling,
+    prediction or metrics.
     """
 
     name = "structure"
@@ -275,54 +230,21 @@ class StructurePlanner(Planner):
         self.candidates = pool
         self._menu: dict[str, KernelTraits] = menu
         self._lock = threading.Lock()
+        # fingerprint -> plan; a plan depends on nothing else that varies
         # concurrency: guarded-by(self._lock)
-        self._profiles: dict[str, StructureProfile] = {}
-        # kernel -> (ewma seconds/vector, observation count)
-        # concurrency: guarded-by(self._lock)
-        self._ewma: dict[str, tuple[float, int]] = {}
-        # fingerprint -> last emitted kernel order (rank-flip detection)
-        # concurrency: guarded-by(self._lock)
-        self._orders: dict[str, tuple[str, ...]] = {}
+        self._plans: dict[str, ExecutionPlan] = {}
 
-    # -- evidence ------------------------------------------------------------
-    def profile_for(self, csr, *, fingerprint: str | None = None) -> StructureProfile:
-        """The (cached) structure profile of ``csr``.
-
-        ``fingerprint`` skips re-hashing when the caller (the engine)
-        already computed the content hash.  The compute-outside-lock
-        race is benign: two threads profiling the same new matrix
-        produce equal values and the second insert is idempotent.
-        """
-        if fingerprint is None:
-            fingerprint = matrix_fingerprint(csr)
-        with self._lock:
-            profile = self._profiles.get(fingerprint)
-        if profile is None:
-            profile = compute_structure_profile(csr, fingerprint=fingerprint)
-            with self._lock:
-                self._profiles[fingerprint] = profile
-        return profile
-
+    # -- hostbench stubs -------------------------------------------------------
+    # Plans take no latency feedback.  These two stay only for hostbench
+    # (the host wall-time benchmark), their only reader: its serve-heavy
+    # workload notes ``observed()`` and its traced run wraps
+    # ``StructurePlanner.observe``.  Nothing in ``src/`` calls either.
     def observe(self, kernel: str, seconds: float, *, vectors: int = 1) -> None:
-        """EWMA-fold one measured execution (per-vector normalized)."""
-        if seconds < 0:
-            raise PlanError(f"observed seconds must be >= 0, got {seconds}")
-        per_vector = seconds / max(1, vectors)
-        with self._lock:
-            current = self._ewma.get(kernel)
-            if current is None:
-                self._ewma[kernel] = (per_vector, 1)
-            else:
-                value, count = current
-                self._ewma[kernel] = (
-                    value + EWMA_ALPHA * (per_vector - value),
-                    count + 1,
-                )
+        """Does nothing."""
 
-    def observed(self) -> dict[str, tuple[float, int]]:
-        """Snapshot of the EWMA table (kernel -> (seconds, count))."""
-        with self._lock:
-            return dict(self._ewma)
+    def observed(self) -> dict:
+        """Always empty."""
+        return {}
 
     # -- planning ------------------------------------------------------------
     def _reason(self, traits: KernelTraits, profile: StructureProfile) -> str:
@@ -361,7 +283,31 @@ class StructurePlanner(Planner):
         return 16, 0.005
 
     def plan(self, csr, *, fingerprint: str | None = None) -> ExecutionPlan:
-        profile = self.profile_for(csr, fingerprint=fingerprint)
+        """The (memoized) plan for ``csr``.
+
+        ``fingerprint`` skips re-hashing when the caller (the engine)
+        already computed the content hash.  A memo hit does no
+        profiling, prediction or metric work.  The compute-outside-lock
+        race is benign: two threads planning the same new matrix
+        compute equal plans.
+        """
+        if fingerprint is None:
+            fingerprint = matrix_fingerprint(csr)
+        with self._lock:
+            plan = self._plans.get(fingerprint)
+        if plan is None:
+            plan = self._rank(csr, fingerprint)
+            with self._lock:
+                self._plans[fingerprint] = plan
+            _count_decision(self.name, plan.kernels[0])
+        return plan
+
+    def _rank(self, csr, fingerprint: str) -> ExecutionPlan:
+        if min(csr.shape) <= 0:
+            # nothing to profile or run: the pool in tier order, like the
+            # static chain, with no ranking and no hints
+            return ExecutionPlan(kernels=self.candidates, planner=self.name)
+        profile = compute_structure_profile(csr, fingerprint=fingerprint)
         predicted = predict_chain_seconds(
             nrows=profile.nrows,
             ncols=profile.ncols,
@@ -375,39 +321,18 @@ class StructurePlanner(Planner):
             gpu=self.gpu,
             kernels=self.candidates,
         )
-        observed = self.observed()
         predicted_floor = min(predicted.values())
-        observed_floor = min(
-            (observed[name][0] for name in self.candidates if name in observed),
-            default=None,
-        )
         entries = []
         for tier_rank, name in enumerate(self.candidates):
             traits = self._menu[name]
-            model_score = predicted[name] / predicted_floor
-            evidence = observed.get(name)
-            if evidence is not None and observed_floor:
-                value, count = evidence
-                weight = min(
-                    MAX_FEEDBACK_WEIGHT, count / (count + FEEDBACK_HALF_LIFE)
-                )
-                score = (1.0 - weight) * model_score + weight * (
-                    value / observed_floor
-                )
-                observed_seconds, observations = value, count
-            else:
-                score = model_score
-                observed_seconds, observations = None, 0
             # candidates iterate in tier order, so the rank index is the
             # number of safer kernels this one would have to jump
-            score *= 1.0 + SAFETY_BIAS * tier_rank
+            score = predicted[name] / predicted_floor * (1.0 + SAFETY_BIAS * tier_rank)
             entries.append(
                 RankedKernel(
                     name=name,
                     tier=traits.fallback_tier,
                     predicted_seconds=predicted[name],
-                    observed_seconds=observed_seconds,
-                    observations=observations,
                     score=score,
                     reason=self._reason(traits, profile),
                 )
@@ -415,20 +340,9 @@ class StructurePlanner(Planner):
         # score first; the registry tier breaks ties so equal-looking
         # kernels keep the safety order
         entries.sort(key=lambda entry: (entry.score, entry.tier, entry.name))
-        kernels = tuple(entry.name for entry in entries)
         batch_hint, wait_hint = self._hints(profile)
-        flipped = False
-        key = profile.fingerprint
-        if key is not None:
-            with self._lock:
-                previous = self._orders.get(key)
-                self._orders[key] = kernels
-            flipped = previous is not None and previous != kernels
-        _count_decision(self.name, kernels[0])
-        if flipped:
-            _count_rank_flip(self.name)
         return ExecutionPlan(
-            kernels=kernels,
+            kernels=tuple(entry.name for entry in entries),
             ranking=tuple(entries),
             batch_hint=batch_hint,
             max_wait_hint_seconds=wait_hint,

@@ -6,9 +6,10 @@ nonzeros cluster into dense 8x8 blocks — is a pure function of matrix
 in one vectorized pass over the CSR arrays: the block-density histogram
 over 8x8 tiles, the nnz/row distribution, the fill ratio, and the §4.3
 pairing depth (the exact number of MMA steps a spaden execution of this
-matrix issues).  The result is a small frozen dataclass the planner
-caches by :func:`matrix_fingerprint` — profiling is paid once per
-matrix content, like the engine's prepared operands.
+matrix issues).  The result is a small frozen dataclass; the planner
+memoizes the plan built from it by :func:`matrix_fingerprint`, so
+profiling is paid once per matrix content, like the engine's prepared
+operands.
 
 This module is deliberately *duck-typed* over the matrix: it reads
 ``row_pointers`` / ``col_indices`` / ``shape`` / ``nnz`` and never
@@ -17,7 +18,7 @@ import fence (stdlib + numpy + errors + perf + obs).
 
 :func:`matrix_fingerprint` lives here as the canonical implementation;
 :mod:`repro.engine.cache` re-exports it, so the operand cache and the
-planner's profile cache key by the *same* content hash and an engine can
+planner's plan memo key by the *same* content hash and an engine can
 hand its fingerprint straight to the planner.
 """
 
@@ -54,13 +55,15 @@ def matrix_fingerprint(csr) -> str:
     identical byte content but different element types apart (an int32
     ``[1, 0]`` and an int64 ``[1]`` share raw bytes) and pins the
     boundary between adjacent arrays, so bytes can never shift from one
-    array into the next and still hash the same.
+    array into the next and still hash the same.  The arrays' buffers
+    are hashed in place (a strided view is made contiguous first), so
+    the digest equals hashing ``tobytes()`` without copying.
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(repr(csr.shape).encode())
     for array in (csr.row_pointers, csr.col_indices, csr.values):
         h.update(f"{array.dtype.str}:{array.size};".encode())
-        h.update(array.tobytes())
+        h.update(np.ascontiguousarray(array))
     return h.hexdigest()
 
 

@@ -273,10 +273,7 @@ class ServeFrontend:
     profiled once and its :class:`~repro.plan.ExecutionPlan` batch
     hints specialize the flush policy for that matrix's coalescing
     group (dense-blocked operands coalesce into larger batches than
-    hypersparse ones).  :meth:`set_tenant_planner` additionally routes
-    one tenant's batches through a planner override on the engine call
-    itself; tenants without an override ride the engine's unchanged
-    default path.
+    hypersparse ones).
     """
 
     def __init__(
@@ -307,8 +304,6 @@ class ServeFrontend:
         self._pending: dict[str, list] = {}  # concurrency: guarded-by(self._cond)
         # per-matrix plan-hinted flush policies (default policy when absent)
         self._policies: dict[str, FlushPolicy] = {}  # concurrency: guarded-by(self._cond)
-        # per-tenant planner overrides threaded into engine.spmv_many
-        self._tenant_planners: dict = {}  # concurrency: guarded-by(self._cond)
         self._quotas: dict[str, TenantQuota] = {}  # concurrency: guarded-by(self._cond)
         self._buckets: dict[str, TokenBucket] = {}  # concurrency: guarded-by(self._cond)
         self._tenant_depth: dict[str, int] = {}  # concurrency: guarded-by(self._cond)
@@ -326,6 +321,9 @@ class ServeFrontend:
         Re-registering a taken name is a :class:`~repro.errors.ServeError`
         — tenants hold references to results computed against the old
         contents, so silent replacement would be a correctness trap.
+        The name is checked before any planning or warming, so a
+        rejected call converts and persists nothing, and again at
+        insert for a racing registration of the same name.
 
         With a ``planner`` installed, the matrix is profiled here (once,
         outside the lock — registration is the cold path) and its plan's
@@ -339,6 +337,9 @@ class ServeFrontend:
         a persistent store attached; pass ``True``/``False`` to force.
         Warming happens outside the lock, on the registration path.
         """
+        with self._cond:
+            if name in self._matrices:
+                raise ServeError(f"matrix {name!r} is already registered")
         policy = self.flush_policy
         if self.planner is not None:
             plan = self.planner.plan(csr)
@@ -367,28 +368,6 @@ class ServeFrontend:
         with self._cond:
             self._quotas[tenant] = quota
             self._buckets.pop(tenant, None)
-
-    def set_tenant_planner(self, tenant: str, planner) -> None:
-        """Route one tenant's batches through a planner override.
-
-        ``planner`` is a :class:`repro.plan.Planner` handed to
-        :meth:`~repro.engine.SpMVEngine.spmv_many` for this tenant's
-        requests (the engine re-plans per call, so the override also
-        collects its own latency feedback); ``None`` removes the
-        override, returning the tenant to the engine's default path.
-        Batches mixing tenants are partitioned per planner before they
-        reach the engine.
-        """
-        with self._cond:
-            if planner is None:
-                self._tenant_planners.pop(tenant, None)
-            else:
-                self._tenant_planners[tenant] = planner
-
-    def tenant_planner(self, tenant: str):
-        """The tenant's planner override, or ``None``."""
-        with self._cond:
-            return self._tenant_planners.get(tenant)
 
     def queue_depth(self, tenant: str) -> int:
         """The tenant's in-flight (admitted, unresolved) request count."""
@@ -540,11 +519,6 @@ class ServeFrontend:
         new work starts after expiry").  The rest ride one
         ``spmv_many(return_errors=True)`` call, so failures come back
         per-request and nothing raises across the batch.
-
-        Tenants with a planner override (see :meth:`set_tenant_planner`)
-        are partitioned out and run through their own ``spmv_many`` call
-        carrying ``planner=``; everyone else shares one call on the
-        engine's unchanged default path.
         """
         outcomes: list[tuple[_Pending, object]] = []
         ready: list[_Pending] = []
@@ -556,32 +530,12 @@ class ServeFrontend:
                     outcomes.append((record, exc))
                     continue
             ready.append(record)
-        if not ready:
-            return outcomes
-        with self._cond:
-            overrides = dict(self._tenant_planners)
-        default_records = [r for r in ready if overrides.get(r.tenant) is None]
-        if default_records:
+        if ready:
             results = self.engine.spmv_many(
-                [(record.csr, record.x) for record in default_records],
+                [(record.csr, record.x) for record in ready],
                 return_errors=True,
             )
-            outcomes.extend(zip(default_records, results))
-        planned: dict[int, list[_Pending]] = {}
-        planners: dict[int, object] = {}
-        for record in ready:
-            override = overrides.get(record.tenant)
-            if override is None:
-                continue
-            planned.setdefault(id(override), []).append(record)
-            planners[id(override)] = override
-        for key, records in planned.items():
-            results = self.engine.spmv_many(
-                [(record.csr, record.x) for record in records],
-                return_errors=True,
-                planner=planners[key],
-            )
-            outcomes.extend(zip(records, results))
+            outcomes.extend(zip(ready, results))
         return outcomes
 
     def _run_batch(self, matrix: str, cause: str, batch: list) -> None:

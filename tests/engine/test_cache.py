@@ -92,6 +92,35 @@ class TestFingerprint:
         b = stub([1], [2, 3])
         assert matrix_fingerprint(a) != matrix_fingerprint(b)
 
+    def test_digests_pinned(self):
+        """Digests key the persistent operand store, so hashing may
+        change how it reads the arrays but never the digest."""
+        import types
+
+        int32 = CSRMatrix(
+            (3, 3),
+            np.array([0, 2, 3, 5]),
+            np.array([0, 2, 1, 0, 2]),
+            np.array([1.0, -2.5, 3.0, 0.5, 4.0]),
+        )
+        assert int32.col_indices.dtype == np.int32
+        assert matrix_fingerprint(int32) == "753a533d19fbd3a8a47066924cc3c6c9"
+        int64 = types.SimpleNamespace(
+            shape=(2, 4),
+            row_pointers=np.array([0, 1, 3], np.int64),
+            col_indices=np.array([3, 0, 2], np.int64),
+            values=np.array([1.5, -1.0, 2.0], np.float32),
+        )
+        assert matrix_fingerprint(int64) == "813a54822cd45360a7a9045042a8fbf4"
+        # a strided view hashes like its contiguous copy
+        strided = types.SimpleNamespace(
+            shape=int64.shape,
+            row_pointers=int64.row_pointers,
+            col_indices=np.array([3, 9, 0, 9, 2], np.int64)[::2],
+            values=int64.values,
+        )
+        assert matrix_fingerprint(strided) == "813a54822cd45360a7a9045042a8fbf4"
+
 
 class TestOperandCache:
     def test_hit_miss_counters(self):

@@ -5,24 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import SpMVEngine
+from repro.engine import SpMVEngine, matrix_fingerprint
+from repro.obs import get_registry
 from repro.plan import StructurePlanner
 from repro.robustness import dispatch_spmv
 from repro.serve import ServeFrontend
 from repro.serve.policy import FlushPolicy
 from repro.bench.plan import block_sweep_csr
-
-
-class CountingPlanner(StructurePlanner):
-    """StructurePlanner that counts plan() calls (co-caching probe)."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.plan_calls = 0
-
-    def plan(self, csr, *, fingerprint=None):
-        self.plan_calls += 1
-        return super().plan(csr, fingerprint=fingerprint)
 
 
 @pytest.fixture
@@ -40,51 +29,22 @@ class TestEnginePlanner:
         y = engine.spmv(csr, x)
         assert np.allclose(y, csr.matvec(x), rtol=1e-3, atol=1e-2)
 
-    def test_plan_cached_next_to_operand(self, problem):
+    def test_one_plan_per_matrix_content(self, problem):
         csr, x = problem
-        planner = CountingPlanner("L40")
-        engine = SpMVEngine(planner=planner)
+        decisions = get_registry().counter(
+            "planner_decisions_total", "", labels=("planner", "kernel")
+        )
+        before = sum(decisions.series().values())
+        engine = SpMVEngine(planner=StructurePlanner("L40"))
         engine.spmv(csr, x)
         engine.spmv(csr, x)
         engine.spmv_many([(csr, x), (csr, x)])
+        # a poisoned operand is dropped; the plan, which depends only on
+        # the matrix's structure, is not
+        engine._invalidate_operand(engine.kernel_name, matrix_fingerprint(csr))
+        engine.spmv(csr, x)
         # one plan for one matrix content, however many requests
-        assert planner.plan_calls == 1
-
-    def test_invalidation_drops_plan_with_operand(self, problem):
-        csr, x = problem
-        planner = CountingPlanner("L40")
-        engine = SpMVEngine(planner=planner)
-        engine.spmv(csr, x)
-        assert planner.plan_calls == 1
-        from repro.engine import matrix_fingerprint
-
-        fingerprint = matrix_fingerprint(csr)
-        engine._invalidate_operand(engine.kernel_name, fingerprint)
-        engine.spmv(csr, x)
-        assert planner.plan_calls == 2
-
-    def test_latency_feedback_reaches_planner(self, problem):
-        csr, x = problem
-        planner = StructurePlanner("L40")
-        engine = SpMVEngine(planner=planner)
-        engine.spmv(csr, x)
-        observed = planner.observed()
-        assert observed, "engine must feed run latency back to the planner"
-        (kernel, (seconds, count)), = observed.items()
-        assert count == 1 and seconds >= 0
-
-    def test_per_call_override_not_co_cached(self, problem):
-        csr, x = problem
-        override = CountingPlanner("L40")
-        engine = SpMVEngine()  # no engine-level planner
-        baseline = engine.spmv(csr, x)
-        engine.spmv_many([(csr, x)], planner=override)
-        engine.spmv_many([(csr, x)], planner=override)
-        assert override.plan_calls == 2  # override plans are not cached
-        # and the override path computes the same numbers
-        assert np.array_equal(
-            engine.spmv_many([(csr, x)], planner=override)[0], baseline
-        )
+        assert sum(decisions.series().values()) - before == 1
 
 
 class TestRobustnessPlanner:
@@ -121,30 +81,6 @@ class TestServePlanner:
         with ServeFrontend(flush_policy=policy) as frontend:
             frontend.register_matrix("m", csr)
             assert frontend._policies["m"] == policy
-
-    def test_tenant_override_routes_through_engine(self, problem):
-        csr, x = problem
-        override = StructurePlanner("L40")
-        with ServeFrontend() as frontend:
-            frontend.register_matrix("m", csr)
-            frontend.set_tenant_planner("vip", override)
-            assert frontend.tenant_planner("vip") is override
-            plain = frontend.submit("m", x, tenant="default")
-            routed = frontend.submit("m", x, tenant="vip")
-            y_plain = plain.result(timeout=30)
-            y_routed = routed.result(timeout=30)
-        assert np.array_equal(y_plain, y_routed)
-        # the override collected feedback, proving its path was taken
-        assert override.observed()
-
-    def test_override_removal(self, problem):
-        csr, _x = problem
-        override = StructurePlanner("L40")
-        with ServeFrontend() as frontend:
-            frontend.register_matrix("m", csr)
-            frontend.set_tenant_planner("t", override)
-            frontend.set_tenant_planner("t", None)
-            assert frontend.tenant_planner("t") is None
 
 
 class TestFlushPolicyHints:

@@ -18,8 +18,9 @@ from repro.formats.base import SparseMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.kernels.base import get_kernel
-from repro.plan import StaticPlanner
+from repro.plan import StaticPlanner, StructurePlanner
 from repro.robustness import corrupt, dispatch_spmv, get_fault
+from repro.serve import ServeFrontend
 
 from tests.conftest import make_random_dense
 
@@ -121,6 +122,35 @@ class TestEngineParity:
         planned.spmv(csr, x)
         assert "planner" not in plain.run_report().meta
         assert planned.run_report().meta["planner"] == "static"
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+class TestEmptyShapeParity:
+    """Matrices the static chain serves, a structure planner serves too."""
+
+    @staticmethod
+    def _empty(shape):
+        return CSRMatrix(shape, np.zeros(shape[0] + 1, np.int64), [], [])
+
+    def test_structure_plan_is_the_static_chain(self, shape):
+        plan = StructurePlanner().plan(self._empty(shape))
+        assert plan.kernels == default_chain()
+        assert plan.ranking == ()
+        assert plan.batch_hint is None and plan.max_wait_hint_seconds is None
+
+    def test_engine_returns_zeros(self, shape):
+        csr = self._empty(shape)
+        x = np.ones(shape[1], np.float32)
+        for planner in (None, StaticPlanner(), StructurePlanner()):
+            y = SpMVEngine(planner=planner).spmv(csr, x)
+            assert np.array_equal(y, np.zeros(shape[0], np.float32))
+
+    def test_planned_frontend_registers_and_serves(self, shape):
+        csr = self._empty(shape)
+        with ServeFrontend(planner=StructurePlanner(), workers=1) as frontend:
+            frontend.register_matrix("empty", csr)
+            y = frontend.submit("empty", np.ones(shape[1], np.float32)).result(timeout=30)
+        assert np.array_equal(y, np.zeros(shape[0], np.float32))
 
 
 class TestDegradationParity:

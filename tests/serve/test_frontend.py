@@ -26,6 +26,8 @@ from repro.errors import (
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.obs import get_registry, reset_observability
+from repro.persist import OperandStore
+from repro.plan import StructurePlanner
 from repro.resilience import ManualClock
 from repro.serve import FlushPolicy, ServeFrontend, TenantQuota
 
@@ -56,6 +58,20 @@ class TestRegistration:
             with pytest.raises(ServeError):
                 frontend.register_matrix("A", _csr(rng))
             assert frontend.matrices() == ["A"]
+
+    def test_rejected_registration_prepares_and_persists_nothing(self, rng, tmp_path):
+        engine = SpMVEngine("spaden", store=OperandStore(tmp_path))
+        with ServeFrontend(engine, workers=1, planner=StructurePlanner()) as frontend:
+            frontend.register_matrix("A", _csr(rng))
+            prepares = engine.stats.prepare_calls
+            keys = engine.cache.keys()
+            files = sorted(tmp_path.rglob("*"))
+            assert prepares == 1 and len(keys) == 1 and files
+            with pytest.raises(ServeError):
+                frontend.register_matrix("A", _csr(rng))
+            assert engine.stats.prepare_calls == prepares
+            assert engine.cache.keys() == keys
+            assert sorted(tmp_path.rglob("*")) == files
 
     def test_unknown_matrix_is_rejected_at_submit(self, rng):
         with ServeFrontend(SpMVEngine("spaden"), workers=1) as frontend:
